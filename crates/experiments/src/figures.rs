@@ -1,4 +1,17 @@
 //! One experiment definition per table and figure of the paper.
+//!
+//! The simulated figures (2 and 4–8, and the §3.3 superscalar comparison)
+//! are data: each is a spec naming the cross product it sweeps and how it
+//! renders. A plan interns the cells of a list of specs by what they
+//! simulate, runs every distinct cell once in one sweep, and scatters the
+//! results back into each spec's rows. `figureN` is the one-spec plan;
+//! [`all`] is the plan over every spec, so the cells the figures share
+//! (Figure 2 ⊂ Figure 4, the ICOUNT.2.8 column of Figures 5 and 6, the
+//! ICOUNT.1.8 column of Figures 7 and 8) are simulated once.
+
+use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use smt_core::{FetchEngineKind, FetchPolicy};
 use smt_workloads::{BenchmarkProfile, Walker, Workload, WorkloadClass};
@@ -6,8 +19,8 @@ use smt_workloads::{BenchmarkProfile, Walker, Workload, WorkloadClass};
 use crate::report::{
     render_grouped_bars, render_markdown, render_sweep_stats, render_table, Metric,
 };
-use crate::runner::{run, run_matrix_sweep, RunLength, RunResult, EXP_SEED};
-use crate::sweep::{progress_report_enabled, sweep_cells, CellStat, Jobs};
+use crate::runner::{run, RunLength, RunResult, EXP_SEED};
+use crate::sweep::{progress_report_enabled, sweep_cells, Jobs};
 
 /// A completed experiment: its identity, rendered text, and raw results.
 #[derive(Clone, Debug)]
@@ -53,27 +66,186 @@ fn engines() -> [FetchEngineKind; 3] {
     FetchEngineKind::all()
 }
 
-/// Prints a sweep's per-cell timing report to stderr when
-/// `SMT_SWEEP_REPORT` is set (progress/straggler visibility; never mixed
-/// into the experiment's own stdout artifact).
-fn report_progress(id: &str, stats: &[CellStat]) {
-    if progress_report_enabled() {
-        eprintln!("{}", render_sweep_stats(id, stats));
+/// How a simulated figure renders its rows.
+#[derive(Clone, Copy, Debug)]
+enum Render {
+    /// One grouped-bar panel per metric, then, with `notes`, the §3.1
+    /// fetch-width distributions.
+    Bars {
+        panels: &'static [Metric],
+        notes: bool,
+    },
+    /// The §3.3 comparison: rows relabelled to the benchmark each workload
+    /// runs alone, IPC bars, and geomean speedups over gshare+BTB.
+    Superscalar,
+}
+
+/// One simulated figure as data: the cross product it sweeps and how it
+/// renders it.
+#[derive(Debug)]
+struct Spec {
+    id: &'static str,
+    caption: &'static str,
+    workloads: Vec<Workload>,
+    engines: Vec<FetchEngineKind>,
+    policies: Vec<FetchPolicy>,
+    render: Render,
+}
+
+/// One simulated configuration.
+type Cell<'a> = (&'a Workload, FetchEngineKind, FetchPolicy);
+
+/// What makes two rows the same cell: the workload's name (it labels the
+/// row) and benchmark list (with the fixed seed, it determines the
+/// programs), the engine and the policy.
+type Key<'a> = (&'a str, &'a [&'static str], FetchEngineKind, FetchPolicy);
+
+fn key<'a>((w, e, p): Cell<'a>) -> Key<'a> {
+    (w.name(), w.benchmarks(), e, p)
+}
+
+impl Spec {
+    /// The spec's rows in result order: workload outermost, then policy,
+    /// then engine — the paper's grouped-bar nesting.
+    fn rows(&self) -> impl Iterator<Item = Cell<'_>> {
+        self.workloads.iter().flat_map(move |w| {
+            self.policies
+                .iter()
+                .flat_map(move |&p| self.engines.iter().map(move |&e| (w, e, p)))
+        })
+    }
+
+    /// Renders the results of [`Spec::rows`], in that order.
+    fn finish(&self, mut results: Vec<RunResult>) -> Experiment {
+        match self.render {
+            Render::Bars { panels, notes } => {
+                let mut e = experiment(self.id, self.caption, results, panels);
+                if notes {
+                    e.text.push_str(&distribution_notes(&e.results));
+                }
+                e
+            }
+            Render::Superscalar => {
+                let per_workload = self.policies.len() * self.engines.len();
+                for (rows, w) in results.chunks_mut(per_workload).zip(&self.workloads) {
+                    for r in rows {
+                        r.workload = w.benchmarks().join("+");
+                    }
+                }
+                superscalar_experiment(self.id, self.caption, results)
+            }
+        }
     }
 }
 
-/// Runs a figure's matrix on `jobs` workers, reporting sweep progress.
-fn matrix(
-    id: &str,
-    workloads: &[Workload],
-    engines: &[FetchEngineKind],
-    policies: &[FetchPolicy],
-    len: RunLength,
-    jobs: Jobs,
-) -> Vec<RunResult> {
-    let sweep = run_matrix_sweep(workloads, engines, policies, len, jobs);
-    report_progress(id, &sweep.stats);
-    sweep.results
+/// The distinct cells of a list of specs, and which cell backs each row.
+struct Plan<'a> {
+    specs: &'a [Spec],
+    /// Distinct cells in claim order: most threads first, first appearance
+    /// among equals.
+    cells: Vec<Cell<'a>>,
+    /// Per spec, the index in `cells` of each of its rows, in row order.
+    rows: Vec<Vec<usize>>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(specs: &'a [Spec]) -> Plan<'a> {
+        let mut cells = Vec::new();
+        let mut index: BTreeMap<Key<'a>, usize> = BTreeMap::new();
+        for cell in specs.iter().flat_map(Spec::rows) {
+            if let Entry::Vacant(slot) = index.entry(key(cell)) {
+                slot.insert(cells.len());
+                cells.push(cell);
+            }
+        }
+        // Longest first: a cell's cost grows with its thread count, so the
+        // most-threaded cells are claimed first and the short single-thread
+        // ones fill the tail. The sort is stable, and the order only picks
+        // which worker runs a cell, never what it computes.
+        cells.sort_by_key(|&(w, _, _)| Reverse(w.num_threads()));
+        // Re-point each key from first appearance to claim order.
+        for (i, &cell) in cells.iter().enumerate() {
+            index.insert(key(cell), i);
+        }
+        let rows = specs
+            .iter()
+            .map(|spec| spec.rows().map(|cell| index[&key(cell)]).collect())
+            .collect();
+        Plan { specs, cells, rows }
+    }
+
+    /// Result rows over every spec.
+    fn row_count(&self) -> usize {
+        self.rows.iter().map(Vec::len).sum()
+    }
+
+    /// Simulates every distinct cell once on `jobs` workers and returns
+    /// each spec's results, in [`Spec::rows`] order.
+    ///
+    /// Results are addressed by cell index and scattered by index, so they
+    /// are the same for any worker count.
+    fn sweep(&self, len: RunLength, jobs: Jobs) -> Vec<Vec<RunResult>> {
+        let mut shared_by: Vec<Vec<&str>> = vec![Vec::new(); self.cells.len()];
+        for (spec, rows) in self.specs.iter().zip(&self.rows) {
+            for &i in rows {
+                shared_by[i].push(spec.id);
+            }
+        }
+        let mut sweep = sweep_cells(
+            self.cells.len(),
+            jobs,
+            len.measure_cycles,
+            |i| {
+                let (w, e, p) = self.cells[i];
+                format!("{} {e} {p} {}", w.name(), shared_by[i].join(","))
+            },
+            |i| {
+                let (w, e, p) = self.cells[i];
+                run(w, e, p, len)
+            },
+        );
+        // The executor has no view into the result type; fill in the
+        // per-cell skip counts for the report's skip-rate column here.
+        for (stat, result) in sweep.stats.iter_mut().zip(&sweep.results) {
+            stat.skipped = result.skipped_cycles;
+        }
+        // Progress and straggler visibility on stderr only, never mixed
+        // into the stdout artifacts.
+        if progress_report_enabled() {
+            let ids: Vec<&str> = self.specs.iter().map(|s| s.id).collect();
+            eprintln!(
+                "{}{} cells simulated, {} repeats elided\n",
+                render_sweep_stats(&ids.join(","), &sweep.stats),
+                self.cells.len(),
+                self.row_count() - self.cells.len()
+            );
+        }
+        self.rows
+            .iter()
+            .map(|rows| rows.iter().map(|&i| sweep.results[i].clone()).collect())
+            .collect()
+    }
+}
+
+/// A one-spec plan: the standalone entry point of one figure.
+fn standalone(spec: Spec, len: RunLength, jobs: Jobs) -> Experiment {
+    let rows = Plan::new(std::slice::from_ref(&spec))
+        .sweep(len, jobs)
+        .concat();
+    spec.finish(rows)
+}
+
+/// Every simulated figure's spec, in paper order.
+fn specs() -> Vec<Spec> {
+    vec![
+        figure2_spec(),
+        figure4_spec(),
+        figure5_spec(),
+        figure6_spec(),
+        figure7_spec(),
+        figure8_spec(),
+        superscalar_spec(),
+    ]
 }
 
 /// **Table 1** — benchmark characteristics: measured dynamic average
@@ -99,7 +271,9 @@ pub fn table1(jobs: Jobs) -> Experiment {
             w.measure(300_000)
         },
     );
-    report_progress("table1", &sweep.stats);
+    if progress_report_enabled() {
+        eprintln!("{}", render_sweep_stats("table1", &sweep.stats));
+    }
     let mut rows = Vec::new();
     let mut md = String::from(
         "| benchmark | paper avg BB | clone avg BB | taken rate | avg stream |\n|---|---|---|---|---|\n",
@@ -226,48 +400,46 @@ pub fn table3() -> Experiment {
 /// **Figure 2** — fetch throughput of gshare+BTB fetching from one thread
 /// (`1.8` vs `1.16`) on gzip–twolf, plus the §3.1 width distributions.
 pub fn figure2(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure2",
-        &[Workload::mix2()],
-        &[FetchEngineKind::GshareBtb],
-        &[FetchPolicy::icount(1, 8), FetchPolicy::icount(1, 16)],
-        len,
-        jobs,
-    );
-    let mut e = experiment(
-        "figure2",
-        "gshare+BTB IPFC with ICOUNT.1.8 / ICOUNT.1.16 (gzip-twolf)",
-        results,
-        &[Metric::Ipfc],
-    );
-    e.text.push_str(&distribution_notes(&e.results));
-    e
+    standalone(figure2_spec(), len, jobs)
+}
+
+fn figure2_spec() -> Spec {
+    Spec {
+        id: "figure2",
+        caption: "gshare+BTB IPFC with ICOUNT.1.8 / ICOUNT.1.16 (gzip-twolf)",
+        workloads: vec![Workload::mix2()],
+        engines: vec![FetchEngineKind::GshareBtb],
+        policies: vec![FetchPolicy::icount(1, 8), FetchPolicy::icount(1, 16)],
+        render: Render::Bars {
+            panels: &[Metric::Ipfc],
+            notes: true,
+        },
+    }
 }
 
 /// **Figure 4** — fetch throughput fetching from two threads
 /// (`2.8`, `2.16`) against the Figure 2 single-thread results.
 pub fn figure4(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure4",
-        &[Workload::mix2()],
-        &[FetchEngineKind::GshareBtb],
-        &[
+    standalone(figure4_spec(), len, jobs)
+}
+
+fn figure4_spec() -> Spec {
+    Spec {
+        id: "figure4",
+        caption: "gshare+BTB IPFC fetching from up to two threads (gzip-twolf)",
+        workloads: vec![Workload::mix2()],
+        engines: vec![FetchEngineKind::GshareBtb],
+        policies: vec![
             FetchPolicy::icount(1, 8),
             FetchPolicy::icount(2, 8),
             FetchPolicy::icount(1, 16),
             FetchPolicy::icount(2, 16),
         ],
-        len,
-        jobs,
-    );
-    let mut e = experiment(
-        "figure4",
-        "gshare+BTB IPFC fetching from up to two threads (gzip-twolf)",
-        results,
-        &[Metric::Ipfc],
-    );
-    e.text.push_str(&distribution_notes(&e.results));
-    e
+        render: Render::Bars {
+            panels: &[Metric::Ipfc],
+            notes: true,
+        },
+    }
 }
 
 fn distribution_notes(results: &[RunResult]) -> String {
@@ -289,119 +461,119 @@ fn distribution_notes(results: &[RunResult]) -> String {
 /// **Figure 5** — ILP workloads, `1.8` vs `2.8`, all three engines:
 /// (a) IPFC, (b) IPC.
 pub fn figure5(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure5",
-        &Workload::ilp_suite(),
-        &engines(),
-        &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
-        len,
-        jobs,
-    );
-    experiment(
-        "figure5",
-        "ICOUNT.1.8 vs ICOUNT.2.8, ILP workloads",
-        results,
-        &[Metric::Ipfc, Metric::Ipc],
-    )
+    standalone(figure5_spec(), len, jobs)
+}
+
+fn figure5_spec() -> Spec {
+    Spec {
+        id: "figure5",
+        caption: "ICOUNT.1.8 vs ICOUNT.2.8, ILP workloads",
+        workloads: Workload::ilp_suite(),
+        engines: engines().to_vec(),
+        policies: vec![FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
+        render: Render::Bars {
+            panels: &[Metric::Ipfc, Metric::Ipc],
+            notes: false,
+        },
+    }
 }
 
 /// **Figure 6** — ILP workloads, `2.8` vs `1.16` vs `2.16`.
 pub fn figure6(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure6",
-        &Workload::ilp_suite(),
-        &engines(),
-        &[
+    standalone(figure6_spec(), len, jobs)
+}
+
+fn figure6_spec() -> Spec {
+    Spec {
+        id: "figure6",
+        caption: "ICOUNT.1.16 vs ICOUNT.2.X, ILP workloads",
+        workloads: Workload::ilp_suite(),
+        engines: engines().to_vec(),
+        policies: vec![
             FetchPolicy::icount(2, 8),
             FetchPolicy::icount(1, 16),
             FetchPolicy::icount(2, 16),
         ],
-        len,
-        jobs,
-    );
-    experiment(
-        "figure6",
-        "ICOUNT.1.16 vs ICOUNT.2.X, ILP workloads",
-        results,
-        &[Metric::Ipfc, Metric::Ipc],
-    )
+        render: Render::Bars {
+            panels: &[Metric::Ipfc, Metric::Ipc],
+            notes: false,
+        },
+    }
 }
 
 /// **Figure 7** — memory-bounded workloads (MIX & MEM), `1.8` vs `2.8`.
 pub fn figure7(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure7",
-        &Workload::mem_suite(),
-        &engines(),
-        &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
-        len,
-        jobs,
-    );
-    experiment(
-        "figure7",
-        "ICOUNT.1.8 vs ICOUNT.2.8, memory-bounded workloads",
-        results,
-        &[Metric::Ipfc, Metric::Ipc],
-    )
+    standalone(figure7_spec(), len, jobs)
+}
+
+fn figure7_spec() -> Spec {
+    Spec {
+        id: "figure7",
+        caption: "ICOUNT.1.8 vs ICOUNT.2.8, memory-bounded workloads",
+        workloads: Workload::mem_suite(),
+        engines: engines().to_vec(),
+        policies: vec![FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
+        render: Render::Bars {
+            panels: &[Metric::Ipfc, Metric::Ipc],
+            notes: false,
+        },
+    }
 }
 
 /// **Figure 8** — memory-bounded workloads, `1.8` vs `1.16` vs `2.16`.
 pub fn figure8(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure8",
-        &Workload::mem_suite(),
-        &engines(),
-        &[
+    standalone(figure8_spec(), len, jobs)
+}
+
+fn figure8_spec() -> Spec {
+    Spec {
+        id: "figure8",
+        caption: "ICOUNT.1.16 vs ICOUNT.1.8 and ICOUNT.2.16, memory-bounded workloads",
+        workloads: Workload::mem_suite(),
+        engines: engines().to_vec(),
+        policies: vec![
             FetchPolicy::icount(1, 8),
             FetchPolicy::icount(1, 16),
             FetchPolicy::icount(2, 16),
         ],
-        len,
-        jobs,
-    );
-    experiment(
-        "figure8",
-        "ICOUNT.1.16 vs ICOUNT.1.8 and ICOUNT.2.16, memory-bounded workloads",
-        results,
-        &[Metric::Ipfc, Metric::Ipc],
-    )
+        render: Render::Bars {
+            panels: &[Metric::Ipfc, Metric::Ipc],
+            notes: false,
+        },
+    }
 }
 
 /// **§3.3 superscalar comparison** — each benchmark alone (one thread),
 /// all three engines: the front-end comparison the paper cites from its
 /// earlier work (gskew+FTB ≈ +5% IPC over gshare+BTB, stream ≈ +11%).
 pub fn superscalar(len: RunLength, jobs: Jobs) -> Experiment {
-    // One cell per (benchmark, engine), benchmark outermost — the same
-    // stable order the serial loop produced.
-    let profiles = BenchmarkProfile::all();
-    let workloads: Vec<Workload> = profiles
-        .iter()
-        .map(|p| {
-            Workload::custom("1_".to_string() + p.name, WorkloadClass::Ilp, &[p.name])
-                .expect("valid") // lint:allow(no-panic): compiled-in profile names are valid
-        })
-        .collect();
-    let cells: Vec<(usize, FetchEngineKind)> = (0..profiles.len())
-        .flat_map(|pi| engines().into_iter().map(move |e| (pi, e)))
-        .collect();
-    let sweep = sweep_cells(
-        cells.len(),
-        jobs,
-        len.measure_cycles,
-        |i| {
-            let (pi, e) = cells[i];
-            format!("{} {} ICOUNT.1.16", profiles[pi].name, e)
-        },
-        |i| {
-            let (pi, e) = cells[i];
-            let mut r = run(&workloads[pi], e, FetchPolicy::icount(1, 16), len);
-            r.workload = profiles[pi].name.to_string();
-            r
-        },
-    );
-    report_progress("superscalar", &sweep.stats);
-    let results = sweep.results;
-    // Geometric-mean speedups over gshare+BTB.
+    standalone(superscalar_spec(), len, jobs)
+}
+
+fn superscalar_spec() -> Spec {
+    Spec {
+        id: "superscalar",
+        caption: "Single-thread front-end comparison (paper §3.3)",
+        workloads: BenchmarkProfile::all()
+            .iter()
+            .map(|p| {
+                Workload::custom("1_".to_string() + p.name, WorkloadClass::Ilp, &[p.name])
+                    .expect("valid") // lint:allow(no-panic): compiled-in profile names are valid
+            })
+            .collect(),
+        engines: engines().to_vec(),
+        policies: vec![FetchPolicy::icount(1, 16)],
+        render: Render::Superscalar,
+    }
+}
+
+/// Renders the superscalar rows (benchmark outermost, one row per engine):
+/// IPC bars plus geometric-mean speedups over gshare+BTB.
+fn superscalar_experiment(
+    id: &'static str,
+    caption: &'static str,
+    results: Vec<RunResult>,
+) -> Experiment {
     let mut text = render_grouped_bars(
         "superscalar: single-thread IPC per front-end (ICOUNT.1.16)",
         &results,
@@ -425,8 +597,8 @@ pub fn superscalar(len: RunLength, jobs: Jobs) -> Experiment {
         (gm("stream") - 1.0) * 100.0
     ));
     Experiment {
-        id: "superscalar",
-        caption: "Single-thread front-end comparison (paper §3.3)",
+        id,
+        caption,
         markdown: render_markdown(&results),
         text,
         results,
@@ -434,19 +606,17 @@ pub fn superscalar(len: RunLength, jobs: Jobs) -> Experiment {
 }
 
 /// All experiments in paper order, sweeping on `jobs` workers.
+///
+/// The simulated figures run as one plan: every distinct
+/// `(workload, engine, policy)` cell is simulated once, however many
+/// figures show it, and each figure gets exactly the rows its standalone
+/// call would return.
 pub fn all(len: RunLength, jobs: Jobs) -> Vec<Experiment> {
-    vec![
-        table1(jobs),
-        table2(),
-        table3(),
-        figure2(len, jobs),
-        figure4(len, jobs),
-        figure5(len, jobs),
-        figure6(len, jobs),
-        figure7(len, jobs),
-        figure8(len, jobs),
-        superscalar(len, jobs),
-    ]
+    let mut out = vec![table1(jobs), table2(), table3()];
+    let specs = specs();
+    let rows = Plan::new(&specs).sweep(len, jobs);
+    out.extend(specs.iter().zip(rows).map(|(spec, rows)| spec.finish(rows)));
+    out
 }
 
 #[cfg(test)]
@@ -493,5 +663,98 @@ mod tests {
         assert_eq!(names.len(), 4);
         assert!(e.text.contains("(IPFC)"));
         assert!(e.text.contains("(IPC)"));
+    }
+
+    #[test]
+    fn plan_interns_shared_cells() {
+        let specs = specs();
+        let plan = Plan::new(&specs);
+        assert_eq!(plan.row_count(), 192);
+        assert_eq!(plan.cells.len(), 156);
+        assert_eq!(plan.row_count() - plan.cells.len(), 36);
+        // Figures 2-8 alone: the superscalar cells are all distinct.
+        let figures = &specs[..specs.len() - 1];
+        assert!(figures.iter().all(|s| s.id.starts_with("figure")));
+        let plan = Plan::new(figures);
+        assert_eq!(plan.row_count(), 156);
+        assert_eq!(plan.cells.len(), 120);
+    }
+
+    #[test]
+    fn plan_claims_longest_first_and_maps_every_row_to_its_cell() {
+        let specs = specs();
+        let plan = Plan::new(&specs);
+        let threads: Vec<usize> = plan.cells.iter().map(|c| c.0.num_threads()).collect();
+        assert!(threads.windows(2).all(|t| t[0] >= t[1]), "{threads:?}");
+        assert_eq!(threads.first(), Some(&8));
+        assert_eq!(threads.last(), Some(&1));
+        for (spec, rows) in specs.iter().zip(&plan.rows) {
+            assert_eq!(rows.len(), spec.rows().count());
+            for (row, &i) in spec.rows().zip(rows) {
+                assert_eq!(key(row), key(plan.cells[i]), "{}", spec.id);
+            }
+        }
+    }
+
+    /// Every field of every result row, floats as their bit patterns.
+    fn row_bits(e: &Experiment) -> Vec<(&str, &str, &str, Vec<u64>, u64)> {
+        e.results
+            .iter()
+            .map(|r| {
+                let floats = [
+                    r.ipfc,
+                    r.ipc,
+                    r.branch_accuracy,
+                    r.wrong_path,
+                    r.frac_ge4,
+                    r.frac_ge8,
+                    r.frac_eq8,
+                    r.frac_ge16,
+                    r.fairness,
+                ]
+                .iter()
+                .chain(&r.per_thread_ipc)
+                .map(|v| v.to_bits())
+                .collect();
+                (
+                    r.workload.as_str(),
+                    r.engine.as_str(),
+                    r.policy.as_str(),
+                    floats,
+                    r.skipped_cycles,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn all_matches_the_standalone_calls() {
+        let len = RunLength::SMOKE;
+        // Standalone results are jobs-invariant (each is a one-spec plan on
+        // the same executor); two workers just make the reference cheaper.
+        let jobs = Jobs::new(2).expect("valid");
+        let standalone = [
+            table1(jobs),
+            table2(),
+            table3(),
+            figure2(len, jobs),
+            figure4(len, jobs),
+            figure5(len, jobs),
+            figure6(len, jobs),
+            figure7(len, jobs),
+            figure8(len, jobs),
+            superscalar(len, jobs),
+        ];
+        for n in [1, 2, 3] {
+            let planned = all(len, Jobs::new(n).expect("valid"));
+            assert_eq!(planned.len(), standalone.len());
+            for (a, b) in planned.iter().zip(&standalone) {
+                assert_eq!(a.id, b.id, "jobs={n}");
+                assert_eq!(a.caption, b.caption, "{} jobs={n}", b.id);
+                assert_eq!(a.text, b.text, "{} jobs={n}", b.id);
+                assert_eq!(a.markdown, b.markdown, "{} jobs={n}", b.id);
+                assert_eq!(row_bits(a), row_bits(b), "{} jobs={n}", b.id);
+            }
+        }
     }
 }

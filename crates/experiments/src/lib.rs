@@ -21,8 +21,10 @@
 //! `ablations` (FTQ depth, fetch-buffer size, block caps).
 //!
 //! `cargo run --release -p smt-experiments --bin all` regenerates everything
-//! and writes a markdown report. Set `SMT_EXP_CYCLES` to change the
-//! simulated length (default 120k measured cycles after 30k warmup).
+//! and writes a markdown report, simulating each distinct cell once even
+//! where several figures show it. Set `SMT_EXP_CYCLES` to change the
+//! simulated length (default 120k measured cycles after 30k warmup); a
+//! value that is not a positive integer is rejected with exit status 2.
 //!
 //! Sweeps run on a deterministic parallel executor ([`sweep`]): every
 //! binary takes `--jobs N` (or the `SMT_JOBS` environment variable,
@@ -63,6 +65,6 @@ pub use report::{
 };
 pub use runner::{
     preflight, preflight_default, run, run_matrix, run_matrix_parallel, run_matrix_sweep,
-    warm_start_enabled, RunLength, RunResult, EXP_SEED,
+    warm_start_enabled, RunLength, RunLengthError, RunResult, EXP_SEED,
 };
 pub use sweep::{report_level, sweep_cells, sweep_indexed, CellStat, Jobs, JobsError, Sweep};

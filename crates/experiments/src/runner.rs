@@ -29,21 +29,52 @@ impl RunLength {
         measure_cycles: 10_000,
     };
 
-    /// Reads an override from `SMT_EXP_CYCLES` (measured cycles; warmup is
-    /// a quarter of it), falling back to [`RunLength::DEFAULT`].
-    pub fn from_env() -> RunLength {
-        match std::env::var("SMT_EXP_CYCLES")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            Some(c) if c > 0 => RunLength {
+    /// Parses a measured-cycle count, as `SMT_EXP_CYCLES` gives it: a
+    /// positive integer, surrounding whitespace ignored. Warmup is a
+    /// quarter of it.
+    pub fn parse(s: &str) -> Result<RunLength, RunLengthError> {
+        match s.trim().parse::<u64>() {
+            Ok(c) if c > 0 => Ok(RunLength {
                 warmup_cycles: c / 4,
                 measure_cycles: c,
-            },
-            _ => RunLength::DEFAULT,
+            }),
+            _ => Err(RunLengthError { got: s.to_string() }),
+        }
+    }
+
+    /// Reads an override from `SMT_EXP_CYCLES` ([`RunLength::parse`]),
+    /// falling back to [`RunLength::DEFAULT`] when unset. A set-but-invalid
+    /// value prints the problem and exits with status 2 rather than
+    /// silently running at the full default length.
+    pub fn from_env() -> RunLength {
+        match std::env::var("SMT_EXP_CYCLES") {
+            Ok(v) => RunLength::parse(&v).unwrap_or_else(|err| {
+                eprintln!("smt-experiments: {err}");
+                std::process::exit(2);
+            }),
+            Err(_) => RunLength::DEFAULT,
         }
     }
 }
+
+/// Why an `SMT_EXP_CYCLES` value was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunLengthError {
+    /// The rejected text.
+    pub got: String,
+}
+
+impl std::fmt::Display for RunLengthError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "SMT_EXP_CYCLES={:?} is not a valid measured-cycle count (expected a positive integer)",
+            self.got
+        )
+    }
+}
+
+impl std::error::Error for RunLengthError {}
 
 /// The outcome of one simulated configuration.
 ///
@@ -375,6 +406,36 @@ pub fn run_matrix_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_length_parse_accepts_positive_integers() {
+        let len = |c| RunLength {
+            warmup_cycles: c / 4,
+            measure_cycles: c,
+        };
+        assert_eq!(RunLength::parse("16000"), Ok(len(16_000)));
+        assert_eq!(RunLength::parse(" 4000\n"), Ok(len(4_000)));
+        assert_eq!(RunLength::parse("1"), Ok(len(1)));
+        assert_eq!(RunLength::parse("120000"), Ok(RunLength::DEFAULT));
+    }
+
+    #[test]
+    fn run_length_parse_rejects_everything_else() {
+        for bad in [
+            "16k",
+            "0",
+            "-5",
+            "",
+            "  ",
+            "1.5",
+            "1e4",
+            "18446744073709551616",
+        ] {
+            let err = RunLength::parse(bad).expect_err(bad);
+            assert_eq!(err.got, bad);
+            assert!(err.to_string().contains("SMT_EXP_CYCLES"), "{err}");
+        }
+    }
 
     #[test]
     fn run_produces_sane_metrics() {
