@@ -14,6 +14,7 @@ use smt_isa::{Diagnostic, NUM_ARCH_FP, NUM_ARCH_INT};
 use smt_mem::{MemoryConfig, MemoryHierarchy};
 
 use crate::frontend::{AnyFrontEnd, LINE_BYTES};
+use crate::pipeline::MAX_IQ_ENTRIES;
 
 /// Which high-performance fetch engine drives the front-end (paper §3.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -582,6 +583,28 @@ impl SimConfig {
             }
         }
 
+        // --- Issue-queue size vs. the wakeup slot masks (E0019). ---
+        for (field, v) in [
+            ("iq_int", self.iq_int),
+            ("iq_ls", self.iq_ls),
+            ("iq_fp", self.iq_fp),
+        ] {
+            if v > MAX_IQ_ENTRIES {
+                push(
+                    &mut diags,
+                    Diagnostic::error(
+                        "E0019",
+                        field,
+                        format!(
+                            "an issue queue holds at most {MAX_IQ_ENTRIES} entries, \
+                         one per bit of its wakeup slot masks (got {v})"
+                        ),
+                        "Table 3 uses 32-entry queues",
+                    ),
+                );
+            }
+        }
+
         // --- Register files vs. thread count (E0007, W0102). ---
         // lint:allow(no-lossy-cast): threads ≤ MAX_THREADS = 8
         let threads = threads.max(1) as u32;
@@ -883,6 +906,24 @@ mod tests {
             }
             assert_rejects(&cfg, 1, "E0008");
         }
+    }
+
+    #[test]
+    fn e0019_issue_queue_beyond_slot_mask_rejected() {
+        for field in 0..3 {
+            let mut cfg = SimConfig::default();
+            match field {
+                0 => cfg.iq_int = MAX_IQ_ENTRIES + 1,
+                1 => cfg.iq_ls = 64,
+                _ => cfg.iq_fp = u32::MAX,
+            }
+            assert_rejects(&cfg, 1, "E0019");
+        }
+        let cfg = SimConfig {
+            iq_int: MAX_IQ_ENTRIES,
+            ..SimConfig::default()
+        };
+        assert!(!codes(&cfg.validate()).contains(&"E0019"));
     }
 
     #[test]

@@ -146,12 +146,8 @@ impl PipelineStage for DispatchStage {
                 kept.push(e);
                 continue;
             }
-            let (qlen, qcap) = match PipelineCtx::queue_for(class) {
-                0 => (ctx.iq_int.len(), ctx.cfg.iq_int as usize),
-                1 => (ctx.iq_ls.len(), ctx.cfg.iq_ls as usize),
-                _ => (ctx.iq_fp.len(), ctx.cfg.iq_fp as usize),
-            };
-            if qlen >= qcap {
+            let queue = PipelineCtx::queue_for(class);
+            if ctx.iq[queue].is_full() {
                 stalled[e.tid] = true;
                 kept.push(e);
                 continue;
@@ -199,18 +195,14 @@ impl PipelineStage for DispatchStage {
                 tid: e.tid,
                 seq: e.seq,
                 entered: now,
-                // Entries age one cycle before they can issue.
-                wake: now + 1,
+                // Filed by the queue from `ready_at`.
+                wake: u64::MAX,
                 src_phys,
                 class,
                 wrong_path,
                 mem_addr,
             };
-            match PipelineCtx::queue_for(class) {
-                0 => ctx.iq_int.push(iq),
-                1 => ctx.iq_ls.push(iq),
-                _ => ctx.iq_fp.push(iq),
-            }
+            ctx.iq[queue].insert(iq, &ctx.ready_at, now);
             budget -= 1;
         }
         ctx.rename_latch.extend(kept.drain(..));
@@ -241,12 +233,7 @@ impl PipelineStage for DispatchStage {
                 stalled[e.tid] = true;
                 continue;
             }
-            let (qlen, qcap) = match PipelineCtx::queue_for(di.class) {
-                0 => (ctx.iq_int.len(), ctx.cfg.iq_int as usize),
-                1 => (ctx.iq_ls.len(), ctx.cfg.iq_ls as usize),
-                _ => (ctx.iq_fp.len(), ctx.cfg.iq_fp as usize),
-            };
-            if qlen >= qcap {
+            if ctx.iq[PipelineCtx::queue_for(di.class)].is_full() {
                 stalled[e.tid] = true;
                 continue;
             }

@@ -24,6 +24,7 @@ pub(crate) mod commit;
 pub(crate) mod decode_rename;
 pub(crate) mod fetch;
 pub(crate) mod issue;
+pub(crate) mod issue_queue;
 pub(crate) mod recovery;
 pub(crate) mod sched;
 
@@ -42,6 +43,7 @@ pub(crate) use commit::CommitStage;
 pub(crate) use decode_rename::{DecodeStage, DispatchStage, RenameStage};
 pub(crate) use fetch::{FetchStage, PredictStage};
 pub(crate) use issue::IssueStage;
+pub(crate) use issue_queue::{IssueQueue, MAX_IQ_ENTRIES};
 pub(crate) use recovery::ResolveStage;
 
 /// A data access slower than this many cycles counts as a long-latency
@@ -85,28 +87,26 @@ pub(crate) const STALL_DCACHE_MISS: u8 = 1 << 5;
 /// Issue-queue entry.
 ///
 /// Besides the identifying `(tid, seq)` pair, the entry caches everything
-/// the issue scan needs from the in-flight instruction — renamed sources,
-/// class, memory address, wrong-path bit — all of which are immutable after
-/// dispatch. The per-cycle wakeup scan therefore runs over the contiguous
-/// queue `Vec` alone, never chasing into the per-thread window deques; the
-/// window entry is only touched on actual issue (to record `issued` /
-/// `done_at`). Sound because a queue entry cannot outlive its window
-/// instruction: squash and flush purge the queues in the same call that
-/// rolls the window back, and commit only retires already-issued heads.
+/// select needs from the in-flight instruction — renamed sources, class,
+/// memory address, wrong-path bit — all of which are immutable after
+/// dispatch. Select therefore reads the queue's slot array alone, never
+/// chasing into the per-thread window deques; the window entry is only
+/// touched on actual issue (to record `issued` / `done_at`). Sound because
+/// a queue entry cannot outlive its window instruction: squash and flush
+/// purge the queues in the same call that rolls the window back, and commit
+/// only retires already-issued heads.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct IqEntry {
     pub(crate) tid: usize,
     pub(crate) seq: u64,
     pub(crate) entered: Cycle,
-    /// Cached earliest cycle this entry could issue — an *exact* bound, not
-    /// a heuristic: `entered + 1` until the sources are examined, then the
-    /// max source `ready_at` once every source is finite (finite `ready_at`
-    /// values never change while a consumer is in flight: the producer's
-    /// register cannot be reallocated before the consumer commits). Entries
-    /// with an unresolved (`u64::MAX`) source are re-examined every cycle.
-    /// Lets the issue scan skip operand-blocked entries with one compare
-    /// instead of `ready_at` loads, without changing the issue order or
-    /// timing by a single cycle.
+    /// Earliest cycle this entry can issue: `max(entered + 1, ready_at of
+    /// every source)`, and `u64::MAX` while a source's producer has not
+    /// issued. [`IssueQueue`] keeps it exact at all times — it recomputes
+    /// the value whenever a producer's tag broadcast reaches the entry, the
+    /// only event that can change it (a finite `ready_at` never changes
+    /// while a consumer is in flight: the producer's register cannot be
+    /// reallocated before the consumer commits).
     pub(crate) wake: Cycle,
     /// Renamed source registers, fixed at dispatch.
     pub(crate) src_phys: [Option<PhysReg>; 2],
@@ -185,9 +185,9 @@ pub(crate) struct PipelineCtx {
     pub(crate) fetch_buffer: VecDeque<LatchEntry>,
     pub(crate) decode_latch: VecDeque<LatchEntry>,
     pub(crate) rename_latch: VecDeque<LatchEntry>,
-    pub(crate) iq_int: Vec<IqEntry>,
-    pub(crate) iq_ls: Vec<IqEntry>,
-    pub(crate) iq_fp: Vec<IqEntry>,
+    /// The int, load/store and fp issue queues, indexed by
+    /// [`PipelineCtx::queue_for`].
+    pub(crate) iq: [IssueQueue; 3],
     /// Cycle at which statistics were last reset (for warmup exclusion).
     pub(crate) stats_since: Cycle,
     pub(crate) free_int: Vec<PhysReg>,
@@ -215,9 +215,7 @@ impl PipelineCtx {
         self.fetch_buffer.len()
             + self.decode_latch.len()
             + self.rename_latch.len()
-            + self.iq_int.len()
-            + self.iq_ls.len()
-            + self.iq_fp.len()
+            + self.iq.iter().map(IssueQueue::len).sum::<usize>()
     }
 
     /// Per-thread pre-issue instruction counts recomputed from the queues —
@@ -233,12 +231,7 @@ impl PipelineCtx {
         {
             c[e.tid] += 1;
         }
-        for e in self
-            .iq_int
-            .iter()
-            .chain(self.iq_ls.iter())
-            .chain(self.iq_fp.iter())
-        {
+        for e in self.iq.iter().flat_map(IssueQueue::iter) {
             c[e.tid] += 1;
         }
         c
@@ -264,12 +257,7 @@ impl PipelineCtx {
         {
             count(e.tid, e.seq);
         }
-        for e in self
-            .iq_int
-            .iter()
-            .chain(self.iq_ls.iter())
-            .chain(self.iq_fp.iter())
-        {
+        for e in self.iq.iter().flat_map(IssueQueue::iter) {
             count(e.tid, e.seq);
         }
         c
@@ -368,9 +356,9 @@ impl PipelineCtx {
             self.fetch_buffer.len(),
             self.decode_latch.len(),
             self.rename_latch.len(),
-            self.iq_int.len(),
-            self.iq_ls.len(),
-            self.iq_fp.len(),
+            self.iq[0].len(),
+            self.iq[1].len(),
+            self.iq[2].len(),
             self.free_int.len(),
             self.free_fp.len()
         );

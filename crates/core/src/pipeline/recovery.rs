@@ -128,9 +128,9 @@ pub(crate) fn squash_after(ctx: &mut PipelineCtx, tid: usize, seq: u64) {
     ctx.fetch_buffer.retain(|e| !(e.tid == tid && e.seq > seq));
     ctx.decode_latch.retain(|e| !(e.tid == tid && e.seq > seq));
     ctx.rename_latch.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.iq_int.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.iq_ls.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.iq_fp.retain(|e| !(e.tid == tid && e.seq > seq));
+    for q in &mut ctx.iq {
+        q.retain(|e| !(e.tid == tid && e.seq > seq));
+    }
     ctx.preissue[tid] -= inst_idx(before - ctx.preissue_live());
 
     // Repair the speculative front-end state and redirect.
@@ -212,9 +212,9 @@ pub(crate) fn flush_after_load(ctx: &mut PipelineCtx, tid: usize, load_seq: u64)
         .retain(|e| !(e.tid == tid && e.seq >= flush_seq));
     ctx.rename_latch
         .retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.iq_int.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.iq_ls.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.iq_fp.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
+    for q in &mut ctx.iq {
+        q.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
+    }
     ctx.preissue[tid] -= inst_idx(before - ctx.preissue_live());
 
     let th = &mut ctx.threads[tid];

@@ -138,9 +138,10 @@ impl Simulator {
     /// cycles skipped (stats updated as if each had been stepped), or 0 if
     /// some stage can act this cycle and a real step is required.
     ///
-    /// Stages are polled cheapest-first so busy cycles bail out after one
-    /// or two O(1)/O(threads) probes; the issue-queue scan — the only
-    /// O(queue) probe — runs last.
+    /// Stages are polled so busy cycles bail out after one or two
+    /// O(1)/O(threads) probes. Dispatch walks the rename latch; the issue
+    /// probe reads each queue's candidate mask and wake-wheel occupancy
+    /// without touching a parked entry (DESIGN.md §14.4).
     pub(crate) fn fast_forward(&mut self, max: u64) -> u64 {
         if max == 0 {
             return 0;

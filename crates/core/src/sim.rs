@@ -36,8 +36,8 @@ use crate::config::{FetchEngineKind, FetchPolicy, SimConfig};
 use crate::frontend::{AnyFrontEnd, FrontEnd};
 use crate::metrics::SimStats;
 use crate::pipeline::{
-    attribute_stalls, CommitStage, DecodeStage, DispatchStage, FetchStage, IssueStage, PipelineCtx,
-    PipelineStage, PredictStage, RenameStage, ResolveStage,
+    attribute_stalls, CommitStage, DecodeStage, DispatchStage, FetchStage, IssueQueue, IssueStage,
+    PipelineCtx, PipelineStage, PredictStage, RenameStage, ResolveStage,
 };
 use crate::thread::ThreadState;
 use crate::window::PhysReg;
@@ -259,9 +259,7 @@ impl Simulator {
             fetch_buffer: VecDeque::with_capacity(cfg.fetch_buffer as usize),
             decode_latch: VecDeque::with_capacity(decode_width),
             rename_latch: VecDeque::with_capacity(decode_width),
-            iq_int: Vec::with_capacity(cfg.iq_int as usize),
-            iq_ls: Vec::with_capacity(cfg.iq_ls as usize),
-            iq_fp: Vec::with_capacity(cfg.iq_fp as usize),
+            iq: [cfg.iq_int, cfg.iq_ls, cfg.iq_fp].map(|cap| IssueQueue::new(cap, total_regs)),
             stats_since: 0,
             free_int,
             free_fp,

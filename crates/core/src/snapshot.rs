@@ -36,8 +36,14 @@ pub const SNAPSHOT_MAGIC: u64 = 0x534d_545f_534e_4150;
 /// scheduler). v3: the per-thread window section became the tagged
 /// structure-of-arrays block ([`crate::Window`]) and the image gained a
 /// trailing FNV-1a checksum over everything before it, so corruption is
-/// reported as `E0018` before the body parse can misread it.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// reported as `E0018` before the body parse can misread it. v4: an issue
+/// queue entry's cached `wake` is its exact earliest issue cycle
+/// (`u64::MAX` while a source is unresolved), which restore re-derives and
+/// checks while rebuilding the queues' wakeup structures.
+pub const SNAPSHOT_VERSION: u32 = 4;
+
+/// Diagnostic field names of the three issue-queue sections, in image order.
+const IQ_SECTIONS: [&str; 3] = ["int issue queue", "ld/st issue queue", "fp issue queue"];
 
 /// FNV-1a over a byte slice (the hash [`config_hash`], the image checksum,
 /// and [`crate::CellKey::hash`] all use).
@@ -275,9 +281,9 @@ impl Simulator {
         save_deque(&mut w, &ctx.fetch_buffer);
         save_deque(&mut w, &ctx.decode_latch);
         save_deque(&mut w, &ctx.rename_latch);
-        smt_isa::save_vec(&mut w, &ctx.iq_int);
-        smt_isa::save_vec(&mut w, &ctx.iq_ls);
-        smt_isa::save_vec(&mut w, &ctx.iq_fp);
+        for q in &ctx.iq {
+            q.save_state(&mut w);
+        }
         smt_isa::save_vec(&mut w, &ctx.free_int);
         smt_isa::save_vec(&mut w, &ctx.free_fp);
         w.usize(ctx.ready_at.len());
@@ -357,9 +363,10 @@ impl Simulator {
         load_deque_into(&mut r, &mut ctx.fetch_buffer, "fetch buffer")?;
         load_deque_into(&mut r, &mut ctx.decode_latch, "decode latch")?;
         load_deque_into(&mut r, &mut ctx.rename_latch, "rename latch")?;
-        smt_isa::load_vec_into(&mut r, &mut ctx.iq_int)?;
-        smt_isa::load_vec_into(&mut r, &mut ctx.iq_ls)?;
-        smt_isa::load_vec_into(&mut r, &mut ctx.iq_fp)?;
+        let threads = ctx.threads.len();
+        for (q, what) in ctx.iq.iter_mut().zip(IQ_SECTIONS) {
+            q.load_state(&mut r, threads, what)?;
+        }
         smt_isa::load_vec_into(&mut r, &mut ctx.free_int)?;
         smt_isa::load_vec_into(&mut r, &mut ctx.free_fp)?;
         let regs = r.usize()?;
@@ -374,6 +381,9 @@ impl Simulator {
         }
         for c in &mut ctx.ready_at {
             *c = r.u64()?;
+        }
+        for (q, what) in ctx.iq.iter_mut().zip(IQ_SECTIONS) {
+            q.relink(&ctx.ready_at, ctx.cycle, what)?;
         }
         ctx.rob_occ = r.u32()?;
         ctx.preissue = Snap::load(&mut r)?;

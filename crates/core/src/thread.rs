@@ -40,7 +40,7 @@ pub struct ThreadState {
     /// In-flight instructions in fetch order (front = oldest),
     /// structure-of-arrays: hot control entries scanned by
     /// issue/commit/squash, payload and branch-record columns indexed by
-    /// `seq & mask` (see [`crate::window`]).
+    /// `seq & mask` (see [`crate::Window`]).
     pub window: Window,
     /// Sequence number for the next fetched instruction.
     pub next_seq: u64,
@@ -136,7 +136,7 @@ impl ThreadState {
     /// The block checkpoint recorded for in-flight instruction `seq`.
     ///
     /// Valid only for sequence numbers of window instructions carrying a
-    /// [`BranchInfo`] (fetch records a checkpoint exactly when it attaches
+    /// [`BranchInfo`](crate::BranchInfo) (fetch records a checkpoint exactly when it attaches
     /// one), or an instruction popped from the window this same cycle.
     pub fn meta(&self, seq: u64) -> &BlockMeta {
         &self.meta_ring[(seq & self.meta_mask) as usize]

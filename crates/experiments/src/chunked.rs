@@ -1,7 +1,7 @@
 //! Chunked parallel execution from checkpoints (DESIGN.md §13.4).
 //!
 //! A long simulation is split into `N` chunks: a **serial pass** runs the
-//! full simulation once, taking a [`Snapshot`](smt_core::Snapshot) at each
+//! full simulation once, taking a [`Snapshot`] at each
 //! chunk boundary, then a **parallel pass** restores every chunk from its
 //! boundary checkpoint and re-runs it on the sweep executor. Because the
 //! simulator is deterministic and snapshots capture *all* mutable state,

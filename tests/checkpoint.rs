@@ -10,11 +10,11 @@
 //! checkpoints land mid-fetch-burst and mid-misprediction-recovery, not
 //! just at quiet cycles.
 //!
-//! The on-disk format itself is pinned by `tests/golden/snapshot_v3.bin`:
+//! The on-disk format itself is pinned by `tests/golden/snapshot_v4.bin`:
 //! a snapshot of a fixed configuration at a fixed cycle must reproduce the
 //! checked-in image bit for bit. Any intentional layout change must bump
 //! `SNAPSHOT_VERSION` and re-bless with `SMT_BLESS=1 cargo test --test
-//! checkpoint`. The v3 image ends in a whole-image FNV-1a checksum, so
+//! checkpoint`. The image ends in a whole-image FNV-1a checksum (since v3), so
 //! corrupted or truncated bytes surface as `E0018` diagnostics — never a
 //! panic, never a silent misload — which `corrupted_snapshots_are_rejected`
 //! exercises byte by byte.
@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use smtfetch::core::{
-    FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats, Simulator, Snapshot,
-    SNAPSHOT_VERSION,
+    config_hash, FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats, Simulator,
+    Snapshot, SNAPSHOT_VERSION,
 };
 use smtfetch::workloads::{Program, Workload};
 
@@ -206,7 +206,7 @@ fn blessing() -> bool {
 }
 
 /// Pins the serialized format itself: a fixed configuration snapshotted at
-/// a fixed cycle must reproduce `tests/golden/snapshot_v3.bin` bit for bit.
+/// a fixed cycle must reproduce `tests/golden/snapshot_v4.bin` bit for bit.
 /// Any layout change — field order, width, a new field — diffs here and
 /// must come with a `SNAPSHOT_VERSION` bump and a re-bless
 /// (`SMT_BLESS=1 cargo test --test checkpoint`).
@@ -253,7 +253,7 @@ fn golden_snapshot_fixture_is_stable() {
 /// Corruption robustness: any snapshot image that is not bit-for-bit what
 /// `snapshot()` produced must be *rejected* by `Simulator::restore` with an
 /// `E0018`-family diagnostic — never a panic and never a silent misload.
-/// The v3 trailing FNV-1a checksum makes this total: every single-byte
+/// The trailing FNV-1a checksum makes this total: every single-byte
 /// mutation flips the stored-vs-computed comparison, and every truncation
 /// either loses checksum bytes or hands the verifier a short image.
 #[test]
@@ -312,4 +312,71 @@ fn corrupted_snapshots_are_rejected() {
         &Snapshot::from_bytes(pristine),
     )
     .expect("pristine image restores");
+}
+
+/// FNV-1a over `bytes`: the snapshot image checksum (DESIGN.md §13).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Re-targets a snapshot image at `cfg`: rewrites the header's
+/// configuration hash (bytes 12..20, after the magic and the version) and
+/// re-seals the trailing checksum, so a restore under `cfg` gets past the
+/// header and checksum and meets the body's own checks.
+fn retarget(image: &Snapshot, cfg: &SimConfig) -> Snapshot {
+    let mut bytes = image.as_bytes().to_vec();
+    bytes[12..20].copy_from_slice(&config_hash(cfg).to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    Snapshot::from_bytes(bytes)
+}
+
+/// An issue-queue section that does not fit the machine is an `E0018`
+/// diagnostic naming the queue, never a panic: more entries than the
+/// queue's capacity, and a source register beyond the register file. Each
+/// image is checksum-valid (re-sealed for a smaller machine), so only the
+/// queue section's own validation stands between it and the simulator.
+#[test]
+fn corrupted_issue_queue_sections_are_rejected() {
+    let cfg = SimConfig {
+        fetch_policy: FetchPolicy::icount(2, 8),
+        ..SimConfig::default()
+    };
+    let programs = Workload::mix2().programs_shared(2004).expect("programs");
+    let mut sim = build(&programs, FetchEngineKind::GskewFtb, &cfg);
+    sim.run_cycles(1_500);
+    let image = sim.snapshot();
+    Simulator::restore(programs.clone(), cfg.clone(), &retarget(&image, &cfg))
+        .expect("re-targeting at the same configuration is the identity");
+
+    let reject = |small: SimConfig, what: &str| {
+        let err = Simulator::restore(programs.clone(), small.clone(), &retarget(&image, &small))
+            .err()
+            .unwrap_or_else(|| panic!("{what}: restored without complaint"));
+        assert_eq!(err.code, "E0018", "{what}: wrong diagnostic family: {err}");
+        assert!(err.field.contains("issue queue"), "{what}: {err}");
+        err
+    };
+    let err = reject(
+        SimConfig {
+            iq_int: 2,
+            iq_ls: 2,
+            iq_fp: 2,
+            ..cfg.clone()
+        },
+        "over-full queue",
+    );
+    assert!(err.message.contains("capacity"), "{err}");
+    let err = reject(
+        SimConfig {
+            regs_int: 80,
+            regs_fp: 80,
+            ..cfg.clone()
+        },
+        "register beyond the file",
+    );
+    assert!(err.message.contains("register"), "{err}");
 }

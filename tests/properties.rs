@@ -365,6 +365,9 @@ fn random_valid_configs_run_deterministically() {
 fn validated_configs_always_build() {
     let mut rng = Srng::new(0xaa);
     let mut built = 0u32;
+    // Both sides of the issue-queue size gate (E0019): a resized queue
+    // that builds, and an oversized one the validator refuses.
+    let (mut iq_built, mut iq_rejected) = (0u32, 0u32);
     for case in 0..200 {
         // Mutate a few axes of the Table 3 baseline per case. Each pool
         // mixes values the validator accepts with ones it must reject, so
@@ -374,7 +377,7 @@ fn validated_configs_always_build() {
             FetchPolicy::icount(1 + rng.range(0, 2) as u32, *rng.pick(&[4, 8, 16, 24]));
         let mutations = 1 + rng.range(0, 3);
         for _ in 0..mutations {
-            match rng.range(0, 10) {
+            match rng.range(0, 11) {
                 0 => cfg.fetch_buffer = *rng.pick(&[0, 8, 16, 32, 48]),
                 1 => cfg.ftq_depth = rng.range(0, 6) as u32,
                 2 => cfg.rob_size = *rng.pick(&[0, 64, 256]),
@@ -393,6 +396,14 @@ fn validated_configs_always_build() {
                 6 => cfg.predictor.ras_depth = rng.range(0, 80) as usize,
                 7 => cfg.mem.l1i.banks = 1 + rng.range(0, 8),
                 8 => cfg.mem.d_mshrs = rng.range(0, 20) as usize,
+                9 => {
+                    let size = *rng.pick(&[0, 16, 32, 33]);
+                    match rng.range(0, 3) {
+                        0 => cfg.iq_int = size,
+                        1 => cfg.iq_ls = size,
+                        _ => cfg.iq_fp = size,
+                    }
+                }
                 _ => {
                     cfg.max_stream = rng.range(0, 80) as u32;
                     cfg.max_ftb_block = rng.range(0, 24) as u32;
@@ -402,8 +413,14 @@ fn validated_configs_always_build() {
 
         let threads = 1 + rng.range(0, 4) as usize;
         let diags = cfg.validate_for_threads(threads);
+        if diags.iter().any(|d| d.code == "E0019") {
+            iq_rejected += 1;
+        }
         if smtfetch::isa::has_errors(&diags) {
             continue;
+        }
+        if [cfg.iq_int, cfg.iq_ls, cfg.iq_fp].contains(&16) {
+            iq_built += 1;
         }
         let programs = Workload::mix4().programs(case).unwrap();
         let sim = SimBuilder::new(programs.into_iter().take(threads).collect())
@@ -420,6 +437,10 @@ fn validated_configs_always_build() {
     assert!(
         built > 10,
         "only {built}/200 random configs validated clean"
+    );
+    assert!(
+        iq_built > 0 && iq_rejected > 0,
+        "issue-queue axis: {iq_built} resized builds, {iq_rejected} E0019 rejections"
     );
 }
 

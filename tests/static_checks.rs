@@ -620,6 +620,7 @@ fn core_pipeline_decomposition_is_pinned() {
             "decode_rename.rs",
             "fetch.rs",
             "issue.rs",
+            "issue_queue.rs",
             "mod.rs",
             "recovery.rs",
             "sched.rs",
