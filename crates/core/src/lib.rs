@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cellkey;
 mod config;
 mod frontend;
 mod metrics;
@@ -45,7 +44,6 @@ mod snapshot;
 mod thread;
 mod window;
 
-pub use cellkey::CellKey;
 pub use config::{
     FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, PredictorConfig, SimConfig,
 };

@@ -45,9 +45,9 @@ pub const SNAPSHOT_VERSION: u32 = 4;
 /// Diagnostic field names of the three issue-queue sections, in image order.
 const IQ_SECTIONS: [&str; 3] = ["int issue queue", "ld/st issue queue", "fp issue queue"];
 
-/// FNV-1a over a byte slice (the hash [`config_hash`], the image checksum,
-/// and [`crate::CellKey::hash`] all use).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice (the hash [`config_hash`] and the image
+/// checksum both use).
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);

@@ -18,14 +18,20 @@
 //! corrupted or truncated bytes surface as `E0018` diagnostics — never a
 //! panic, never a silent misload — which `corrupted_snapshots_are_rejected`
 //! exercises byte by byte.
+//!
+//! `run_chunked` (DESIGN.md §13.2) replays one run as N chunks restored in
+//! parallel from their boundary checkpoints and checks every boundary, and
+//! the final state, byte for byte against the monolithic run.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use smtfetch::core::{
-    config_hash, FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats, Simulator,
-    Snapshot, SNAPSHOT_VERSION,
+    config_hash, Diagnostic, FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats,
+    Simulator, Snapshot, SNAPSHOT_VERSION,
 };
+use smtfetch::experiments::{sweep_indexed, Jobs};
+use smtfetch::isa::snap_mismatch;
 use smtfetch::workloads::{Program, Workload};
 
 /// splitmix64: the test's only randomness source — seeded, so every run
@@ -379,4 +385,272 @@ fn corrupted_issue_queue_sections_are_rejected() {
         "register beyond the file",
     );
     assert!(err.message.contains("register"), "{err}");
+}
+
+/// A completed chunked run, with the verification evidence attached.
+#[derive(Clone, Debug)]
+struct ChunkedRun {
+    /// Statistics accumulated by the *chunked* path (the last chunk's
+    /// resumed simulator) — byte-identical to the monolithic run's stats.
+    stats: SimStats,
+    /// Cycles simulated by each chunk, in order; sums to the requested
+    /// total.
+    chunk_cycles: Vec<u64>,
+    /// Chunk-boundary snapshots proven byte-identical between the chunked
+    /// and monolithic runs (one per chunk: `N-1` interior boundaries plus
+    /// the final state).
+    verified_boundaries: usize,
+    /// The final-state snapshot (identical from both paths).
+    final_snapshot: Snapshot,
+}
+
+/// Splits `total_cycles` into `chunks` near-equal pieces, front-loading the
+/// remainder so lengths differ by at most one cycle. `chunks` is clamped to
+/// at least 1; the pieces always sum to `total_cycles`.
+fn chunk_lengths(total_cycles: u64, chunks: usize) -> Vec<u64> {
+    let n = (chunks.max(1)) as u64;
+    (0..n)
+        .map(|i| total_cycles / n + u64::from(i < total_cycles % n))
+        .collect()
+}
+
+/// Chunked execution from checkpoints, a whole-simulator differential
+/// harness (DESIGN.md §13.2): `total_cycles` of simulation split into
+/// `chunks` pieces. A **serial pass** runs the full simulation once, taking
+/// a snapshot at each chunk boundary; a **parallel pass** restores every
+/// chunk from its boundary checkpoint and re-runs it on the sweep executor
+/// (`sweep_indexed`, so chunk results are index-ordered and
+/// worker-count-invariant). Each chunk's end snapshot must be
+/// byte-identical to the next chunk's start checkpoint, and the last
+/// chunk's to the monolithic run's final snapshot: any state the snapshot
+/// format misses, any nondeterminism in the cycle loop, or any restore bug
+/// shows up as a boundary mismatch.
+///
+/// # Errors
+///
+/// `E0018` when `chunks` is zero, a chunk fails to restore, or a chunk's
+/// end state diverges from the monolithic run's state at the same cycle.
+fn run_chunked(
+    programs: &[Arc<Program>],
+    engine: FetchEngineKind,
+    cfg: &SimConfig,
+    total_cycles: u64,
+    chunks: usize,
+    jobs: Jobs,
+) -> Result<ChunkedRun, Diagnostic> {
+    if chunks == 0 {
+        return Err(snap_mismatch(
+            "chunks",
+            "chunked execution needs at least one chunk",
+        ));
+    }
+    let lens = chunk_lengths(total_cycles, chunks);
+
+    // Serial pass: one monolithic run, snapshotting at every chunk start.
+    let mut sim = build(programs, engine, cfg);
+    let mut checkpoints: Vec<Snapshot> = Vec::with_capacity(chunks);
+    for &len in &lens {
+        checkpoints.push(sim.snapshot());
+        sim.run_cycles(len);
+    }
+    let monolithic_end = sim.snapshot();
+    let monolithic_stats = sim.stats().clone();
+
+    // Parallel pass: restore every chunk from its checkpoint and replay it.
+    let chunk_runs: Vec<Result<(Snapshot, SimStats), Diagnostic>> =
+        sweep_indexed(chunks, jobs, |i| {
+            let mut resumed = Simulator::restore(programs.to_vec(), cfg.clone(), &checkpoints[i])?;
+            resumed.run_cycles(lens[i]);
+            Ok((resumed.snapshot(), resumed.stats().clone()))
+        });
+
+    // Verify: chunk i must land exactly on chunk i+1's checkpoint, and the
+    // last chunk on the monolithic run's final state.
+    let mut verified = 0usize;
+    let mut last_stats = monolithic_stats.clone();
+    for (i, run) in chunk_runs.into_iter().enumerate() {
+        let (end, stats) = run?;
+        let expected = checkpoints.get(i + 1).unwrap_or(&monolithic_end);
+        if end != *expected {
+            return Err(snap_mismatch(
+                "boundary",
+                format!(
+                    "chunk {i} of {chunks} ended {} bytes that differ from the \
+                     monolithic state at the same cycle (snapshot format or \
+                     determinism bug)",
+                    end.len()
+                ),
+            ));
+        }
+        verified += 1;
+        last_stats = stats;
+    }
+    if last_stats != monolithic_stats {
+        return Err(snap_mismatch(
+            "stats",
+            "final chunk statistics differ from the monolithic run",
+        ));
+    }
+    Ok(ChunkedRun {
+        stats: last_stats,
+        chunk_cycles: lens,
+        verified_boundaries: verified,
+        final_snapshot: monolithic_end,
+    })
+}
+
+#[test]
+fn chunk_lengths_partition_the_total() {
+    assert_eq!(chunk_lengths(10, 1), vec![10]);
+    assert_eq!(chunk_lengths(10, 3), vec![4, 3, 3]);
+    assert_eq!(chunk_lengths(9, 3), vec![3, 3, 3]);
+    assert_eq!(chunk_lengths(2, 4), vec![1, 1, 0, 0]);
+    assert_eq!(chunk_lengths(7, 0), vec![7]);
+    for (total, chunks) in [(120_000u64, 8usize), (1, 2), (0, 3)] {
+        assert_eq!(chunk_lengths(total, chunks).iter().sum::<u64>(), total);
+    }
+}
+
+#[test]
+fn zero_chunks_is_a_diagnostic() {
+    let programs = Workload::mix2().programs_shared(7).expect("builds");
+    let err = run_chunked(
+        &programs,
+        FetchEngineKind::GshareBtb,
+        &SimConfig::default(),
+        100,
+        0,
+        Jobs::SERIAL,
+    )
+    .expect_err("zero chunks");
+    assert_eq!(err.code, "E0018");
+}
+
+#[test]
+fn chunked_matches_monolithic_for_every_engine() {
+    let programs = Workload::mix2().programs_shared(7).expect("builds");
+    let cfg = SimConfig {
+        fetch_policy: FetchPolicy::icount(2, 8),
+        ..SimConfig::default()
+    };
+    for engine in FetchEngineKind::all_with_trace_cache() {
+        let mut mono = build(&programs, engine, &cfg);
+        mono.run_cycles(6_000);
+        let mono_stats = mono.stats().clone();
+
+        for chunks in [2usize, 4] {
+            let chunked = run_chunked(
+                &programs,
+                engine,
+                &cfg,
+                6_000,
+                chunks,
+                Jobs::new(2).expect("valid"),
+            )
+            .expect("chunked run verifies");
+            assert_eq!(chunked.stats, mono_stats, "{engine} chunks={chunks}");
+            assert_eq!(chunked.verified_boundaries, chunks, "{engine}");
+            assert_eq!(chunked.chunk_cycles.iter().sum::<u64>(), 6_000);
+            assert_eq!(chunked.final_snapshot, mono.snapshot(), "{engine}");
+        }
+    }
+}
+
+/// Checkpoint/resume equivalence contract over the Figure 5 matrix: every
+/// engine × `ICOUNT.{1,2}.8` cell, split into N ∈ {2, 4, 8} chunks executed
+/// in parallel from checkpoints, is **byte-identical** to the monolithic
+/// run. `run_chunked` verifies every chunk boundary internally (each
+/// chunk's end snapshot must equal the next chunk's start checkpoint); on
+/// top of that this test compares the final statistics and the final
+/// whole-machine snapshot against an independently-run monolithic
+/// simulator, so a silent no-op chunking cannot pass.
+#[test]
+fn chunked_execution_matches_monolithic_for_figure5_matrix() {
+    const CYCLES: u64 = 6_000;
+    let programs = Workload::ilp2().programs_shared(2004).expect("programs");
+    for engine in FetchEngineKind::all() {
+        for policy in [FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)] {
+            let cfg = SimConfig {
+                fetch_policy: policy,
+                ..SimConfig::default()
+            };
+            let mut mono = build(&programs, engine, &cfg);
+            mono.run_cycles(CYCLES);
+            let mono_snapshot = mono.snapshot();
+            for chunks in [2usize, 4, 8] {
+                let chunked = run_chunked(
+                    &programs,
+                    engine,
+                    &cfg,
+                    CYCLES,
+                    chunks,
+                    Jobs::new(4).expect("valid worker count"),
+                )
+                .unwrap_or_else(|e| {
+                    panic!("{engine} × {policy} chunks={chunks}: boundary diverged: {e}")
+                });
+                assert_eq!(
+                    &chunked.stats,
+                    mono.stats(),
+                    "{engine} × {policy} chunks={chunks}: stats diverged"
+                );
+                assert_eq!(
+                    chunked.final_snapshot, mono_snapshot,
+                    "{engine} × {policy} chunks={chunks}: final state diverged"
+                );
+                assert_eq!(chunked.verified_boundaries, chunks);
+                assert_eq!(chunked.chunk_cycles.iter().sum::<u64>(), CYCLES);
+            }
+        }
+    }
+}
+
+/// Chunk boundaries that land *inside* an event skip: the memory-bound
+/// workload under STALL/FLUSH gates fetch for the 100-cycle memory latency,
+/// so odd chunk counts over a non-round horizon are all but guaranteed to
+/// cut skip windows mid-flight. The scheduler must clamp the skip at the
+/// boundary and re-derive the identical classification (and stall charges)
+/// on resume, so chunked stats and the final whole-machine snapshot stay
+/// byte-identical to the monolithic run.
+#[test]
+fn chunk_boundary_mid_skip_matches_monolithic() {
+    const CYCLES: u64 = 9_001; // prime-ish horizon: boundaries avoid round cycles
+    let programs = Workload::mem2().programs_shared(2004).expect("programs");
+    for policy in [
+        FetchPolicy::icount(2, 8).with_stall(),
+        FetchPolicy::icount(2, 8).with_flush(),
+        FetchPolicy::round_robin(2, 8).with_stall(),
+    ] {
+        let cfg = SimConfig {
+            fetch_policy: policy,
+            ..SimConfig::default()
+        };
+        let mut mono = build(&programs, FetchEngineKind::GshareBtb, &cfg);
+        mono.run_cycles(CYCLES);
+        assert!(
+            mono.stats().skipped_cycles() > 0,
+            "{policy}: the scheduler never engaged, boundaries cannot land mid-skip"
+        );
+        let mono_snapshot = mono.snapshot();
+        for chunks in [3usize, 5, 7] {
+            let chunked = run_chunked(
+                &programs,
+                FetchEngineKind::GshareBtb,
+                &cfg,
+                CYCLES,
+                chunks,
+                Jobs::new(3).expect("valid worker count"),
+            )
+            .unwrap_or_else(|e| panic!("{policy} chunks={chunks}: boundary diverged: {e}"));
+            assert_eq!(
+                &chunked.stats,
+                mono.stats(),
+                "{policy} chunks={chunks}: stats diverged"
+            );
+            assert_eq!(
+                chunked.final_snapshot, mono_snapshot,
+                "{policy} chunks={chunks}: final state diverged"
+            );
+        }
+    }
 }

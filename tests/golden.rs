@@ -298,116 +298,6 @@ fn fast_forward_matches_stepping_under_long_latency_policies() {
     }
 }
 
-/// Checkpoint/resume equivalence contract over the Figure 5 matrix: every
-/// engine × `ICOUNT.{1,2}.8` cell, split into N ∈ {2, 4, 8} chunks executed
-/// in parallel from checkpoints, is **byte-identical** to the monolithic
-/// run. `run_chunked` verifies every chunk boundary internally (each
-/// chunk's end snapshot must equal the next chunk's start checkpoint); on
-/// top of that this test compares the final statistics and the final
-/// whole-machine snapshot against an independently-run monolithic
-/// simulator, so a silent no-op chunking cannot pass.
-#[test]
-fn chunked_execution_matches_monolithic_for_figure5_matrix() {
-    use smtfetch::core::{SimBuilder, SimConfig};
-    use smtfetch::experiments::run_chunked;
-    const CYCLES: u64 = 6_000;
-    let programs = Workload::ilp2().programs_shared(2004).expect("programs");
-    for engine in FetchEngineKind::all() {
-        for policy in [FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)] {
-            let cfg = SimConfig {
-                fetch_policy: policy,
-                ..SimConfig::default()
-            };
-            let mut mono = SimBuilder::new_shared(programs.clone())
-                .fetch_engine(engine)
-                .config(cfg.clone())
-                .build()
-                .expect("valid configuration");
-            mono.run_cycles(CYCLES);
-            let mono_snapshot = mono.snapshot();
-            for chunks in [2usize, 4, 8] {
-                let chunked = run_chunked(
-                    &programs,
-                    engine,
-                    &cfg,
-                    CYCLES,
-                    chunks,
-                    Jobs::new(4).expect("valid worker count"),
-                )
-                .unwrap_or_else(|e| {
-                    panic!("{engine} × {policy} chunks={chunks}: boundary diverged: {e}")
-                });
-                assert_eq!(
-                    &chunked.stats,
-                    mono.stats(),
-                    "{engine} × {policy} chunks={chunks}: stats diverged"
-                );
-                assert_eq!(
-                    chunked.final_snapshot, mono_snapshot,
-                    "{engine} × {policy} chunks={chunks}: final state diverged"
-                );
-                assert_eq!(chunked.verified_boundaries, chunks);
-                assert_eq!(chunked.chunk_cycles.iter().sum::<u64>(), CYCLES);
-            }
-        }
-    }
-}
-
-/// Chunk boundaries that land *inside* an event skip: the memory-bound
-/// workload under STALL/FLUSH gates fetch for the 100-cycle memory latency,
-/// so odd chunk counts over a non-round horizon are all but guaranteed to
-/// cut skip windows mid-flight. The scheduler must clamp the skip at the
-/// boundary and re-derive the identical classification (and stall charges)
-/// on resume, so chunked stats and the final whole-machine snapshot stay
-/// byte-identical to the monolithic run.
-#[test]
-fn chunk_boundary_mid_skip_matches_monolithic() {
-    use smtfetch::core::{SimBuilder, SimConfig};
-    use smtfetch::experiments::run_chunked;
-    const CYCLES: u64 = 9_001; // prime-ish horizon: boundaries avoid round cycles
-    let programs = Workload::mem2().programs_shared(2004).expect("programs");
-    for policy in [
-        FetchPolicy::icount(2, 8).with_stall(),
-        FetchPolicy::icount(2, 8).with_flush(),
-        FetchPolicy::round_robin(2, 8).with_stall(),
-    ] {
-        let cfg = SimConfig {
-            fetch_policy: policy,
-            ..SimConfig::default()
-        };
-        let mut mono = SimBuilder::new_shared(programs.clone())
-            .config(cfg.clone())
-            .build()
-            .expect("valid configuration");
-        mono.run_cycles(CYCLES);
-        assert!(
-            mono.stats().skipped_cycles() > 0,
-            "{policy}: the scheduler never engaged, boundaries cannot land mid-skip"
-        );
-        let mono_snapshot = mono.snapshot();
-        for chunks in [3usize, 5, 7] {
-            let chunked = run_chunked(
-                &programs,
-                FetchEngineKind::GshareBtb,
-                &cfg,
-                CYCLES,
-                chunks,
-                Jobs::new(3).expect("valid worker count"),
-            )
-            .unwrap_or_else(|e| panic!("{policy} chunks={chunks}: boundary diverged: {e}"));
-            assert_eq!(
-                &chunked.stats,
-                mono.stats(),
-                "{policy} chunks={chunks}: stats diverged"
-            );
-            assert_eq!(
-                chunked.final_snapshot, mono_snapshot,
-                "{policy} chunks={chunks}: final state diverged"
-            );
-        }
-    }
-}
-
 /// Satellite equivalence contract: the parallel executor returns results
 /// byte-identical to the serial path for any worker count. `RunResult`
 /// equality is bit-exact (`f64 ==`), so this is the strongest possible

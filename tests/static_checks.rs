@@ -14,7 +14,7 @@
 
 use smt_lint::{
     check_deps, check_file, check_workspace, workspace_escapes, Rule, HOT_PATH_FILE,
-    MODULE_SIZE_LIMIT, SERVE_LISTENER, STATS_FILE, SWEEP_EXECUTOR,
+    MODULE_SIZE_LIMIT, STATS_FILE, SWEEP_EXECUTOR,
 };
 use smtfetch::core::{FetchPolicy, SimConfig};
 use smtfetch::isa::MAX_THREADS;
@@ -59,12 +59,11 @@ fn linter_detects_seeded_violations() {
         "seeded alias not flagged: {v:?}"
     );
 
-    // Wall-clock time in a simulation crate, and in the sweep daemon
-    // (which joined CLOCK_CRATES so served results stay seed-pure).
-    let seeded_clock = "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n";
-    let v = check_file("crates/mem/src/fake.rs", seeded_clock);
-    assert!(v.iter().any(|x| x.rule == Rule::NoWallClock), "{v:?}");
-    let v = check_file("crates/serve/src/fake.rs", seeded_clock);
+    // Wall-clock time in a simulation crate.
+    let v = check_file(
+        "crates/mem/src/fake.rs",
+        "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
+    );
     assert!(v.iter().any(|x| x.rule == Rule::NoWallClock), "{v:?}");
 
     // An environment read in a simulation crate.
@@ -125,13 +124,10 @@ fn linter_detects_seeded_violations() {
 /// (path, rule) and the justification text are what the audit reviews.
 ///
 /// Notable invariants the ledger encodes:
-/// * the only `no-wall-clock` escapes are the sweep executor's harness
-///   timer and the daemon's per-job `SUMMARY` timer;
+/// * the only `no-wall-clock` escape is the sweep executor's harness timer;
 /// * the only `no-env-in-core` escape is commit's debug-only stderr tracing;
 /// * every `no-nondeterministic-threading` escape is inside the sweep
-///   executor or the daemon's listener — the executor is the only place
-///   simulation work runs in parallel; the listener's threads pump
-///   protocol bytes only;
+///   executor — the only place simulation work runs in parallel;
 /// * every hot-path `no-alloc-in-step` escape is construction-time work:
 ///   the two copies in `Simulator::new` and the two column allocations in
 ///   `Window::presize`.
@@ -395,13 +391,13 @@ fn escape_ledger_is_pinned() {
             "crates/experiments/src/runner.rs",
             "no-panic",
             false,
-            "validated config with 1..=8 threads",
+            "table 2 workloads are compiled-in and always build",
         ),
         (
             "crates/experiments/src/runner.rs",
             "no-panic",
             false,
-            "table 2 workloads are compiled-in and always build",
+            "validated config with 1..=8 threads",
         ),
         (
             "crates/experiments/src/sweep.rs",
@@ -462,24 +458,6 @@ fn escape_ledger_is_pinned() {
             "no-panic",
             false,
             "entries checked non-empty before LRU eviction",
-        ),
-        (
-            "crates/serve/src/server.rs",
-            "no-nondeterministic-threading",
-            false,
-            "the daemon's accept loop; moves protocol bytes only, all simulation runs inside the audited sweep executor",
-        ),
-        (
-            "crates/serve/src/server.rs",
-            "no-nondeterministic-threading",
-            false,
-            "one protocol-pump thread per client connection; cell results are computed by the audited sweep executor, so which thread serves a client cannot affect any result",
-        ),
-        (
-            "crates/serve/src/server.rs",
-            "no-wall-clock",
-            false,
-            "job wall-time for the SUMMARY observability line; results never see it",
         ),
         (
             "crates/workloads/src/builder.rs",
@@ -569,10 +547,9 @@ fn escape_ledger_is_pinned() {
     // Restate the confinement invariants directly, so a failure names them.
     for e in &ledger {
         if e.rule == Some(Rule::NoWallClock) || e.rule == Some(Rule::NoNondeterministicThreading) {
-            assert!(
-                e.path == SWEEP_EXECUTOR || e.path == SERVE_LISTENER,
-                "clock/threading escape at {} — confined to the sweep \
-                 executor and the daemon listener",
+            assert_eq!(
+                e.path, SWEEP_EXECUTOR,
+                "clock/threading escape at {} — confined to the sweep executor",
                 e.path
             );
         }
@@ -643,6 +620,82 @@ fn core_pipeline_decomposition_is_pinned() {
             lines <= MODULE_SIZE_LIMIT,
             "pipeline/{name} grew to {lines} lines (ceiling {MODULE_SIZE_LIMIT})"
         );
+    }
+}
+
+/// The environment knobs the workspace reads, pinned: every `SMT_*` name
+/// that appears inside a string literal of the library, binary, bench and
+/// example sources (found with the in-tree lexer, so comments never count)
+/// must be one of these, and README must document each. A new knob, or a
+/// removed one that lingers in code, is a reviewed diff of this list.
+#[test]
+fn env_knobs_are_pinned() {
+    use smt_lint::lexer::{lex, TokenKind};
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let krate = krate.expect("dir entry").path();
+        rust_files(&krate.join("src"), &mut files);
+        rust_files(&krate.join("benches"), &mut files);
+    }
+    assert!(
+        files.len() > 50,
+        "source scan found only {} files",
+        files.len()
+    );
+
+    let mut knobs = BTreeSet::new();
+    for file in &files {
+        let src = std::fs::read_to_string(file).expect("read source");
+        for tok in lex(&src).iter().filter(|t| t.kind == TokenKind::Str) {
+            let text = tok.text(&src);
+            for (at, _) in text.match_indices("SMT_") {
+                let name: String = text[at..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                    .collect();
+                if name.len() > "SMT_".len() {
+                    knobs.insert(name);
+                }
+            }
+        }
+    }
+    let expected = [
+        "SMT_BENCH_OUT",
+        "SMT_DEBUG_HIST",
+        "SMT_EXP_CYCLES",
+        "SMT_JOBS",
+        "SMT_SWEEP_REPORT",
+    ];
+    assert_eq!(
+        knobs.iter().map(String::as_str).collect::<Vec<_>>(),
+        expected,
+        "the set of SMT_* environment knobs changed — update this pin and README"
+    );
+
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("read README.md");
+    for knob in expected {
+        assert!(readme.contains(knob), "README does not document {knob}");
     }
 }
 
