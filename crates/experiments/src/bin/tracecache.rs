@@ -7,7 +7,7 @@
 //! at ICOUNT.1.16, where fetch bandwidth is the binding constraint.
 
 use smt_core::{FetchEngineKind, FetchPolicy};
-use smt_experiments::{render_table, run_matrix_parallel, Jobs, RunLength};
+use smt_experiments::{render_table, run_matrix, Jobs, RunLength};
 use smt_workloads::Workload;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let engines = FetchEngineKind::all_with_trace_cache();
     // One sweep over the whole matrix; chunks come back per workload with
     // the engines in order.
-    let results = run_matrix_parallel(&workloads, &engines, &[policy], len, jobs);
+    let results = run_matrix(&workloads, &engines, &[policy], len, jobs);
     println!("trace-cache comparison, ICOUNT.1.16 on ILP workloads\n");
     for (w, chunk) in workloads.iter().zip(results.chunks(engines.len())) {
         let mut rows = Vec::new();

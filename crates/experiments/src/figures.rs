@@ -255,10 +255,11 @@ fn specs() -> Vec<Spec> {
 /// cell, so the table sweeps in parallel like the figures.
 pub fn table1(jobs: Jobs) -> Experiment {
     let profiles = BenchmarkProfile::all();
+    // Walker measurements, not simulations: no sim-cycles to report.
     let sweep = sweep_cells(
         profiles.len(),
         jobs,
-        320_000,
+        0,
         |i| profiles[i].name.to_string(),
         |i| {
             let p = &profiles[i];

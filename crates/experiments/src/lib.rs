@@ -58,7 +58,6 @@ pub use report::{
     Metric,
 };
 pub use runner::{
-    preflight, preflight_default, run, run_matrix, run_matrix_parallel, run_matrix_sweep,
-    RunLength, RunLengthError, RunResult, EXP_SEED,
+    preflight, preflight_default, run, run_matrix, RunLength, RunLengthError, RunResult, EXP_SEED,
 };
 pub use sweep::{report_level, sweep_cells, sweep_indexed, CellStat, Jobs, JobsError, Sweep};

@@ -3,7 +3,7 @@
 use smt_core::{FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats};
 use smt_workloads::Workload;
 
-use crate::sweep::{sweep_cells, Jobs, Sweep};
+use crate::sweep::{sweep_indexed, Jobs};
 
 /// How long to simulate each configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,49 +245,23 @@ pub fn run_with_config(
     RunResult::from_stats(workload, engine, policy, stats)
 }
 
-/// Runs the full cross product `workloads × policies × engines`, serially.
+/// Runs the full cross product `workloads × policies × engines` on a pool
+/// of `jobs` workers.
 ///
 /// Results are ordered with the workload outermost, then the policy, then
 /// the engine innermost — the nesting the paper's grouped-bar figures use
 /// (rows grouped by `(workload, policy)`, one bar per engine). This order
-/// is part of the API contract and is locked by the golden ordering test;
-/// [`run_matrix_parallel`] returns the identical order for any worker count.
+/// is part of the API contract and is locked by the golden ordering test.
+/// Each cell is an independent deterministic simulation and the executor
+/// addresses output slots by cell index ([`sweep_indexed`]), so the vector
+/// is bit-for-bit identical — same order, same values — for any `jobs`.
 pub fn run_matrix(
     workloads: &[Workload],
     engines: &[FetchEngineKind],
     policies: &[FetchPolicy],
     len: RunLength,
-) -> Vec<RunResult> {
-    run_matrix_parallel(workloads, engines, policies, len, Jobs::SERIAL)
-}
-
-/// [`run_matrix`] on a pool of `jobs` workers.
-///
-/// Each cell is an independent deterministic simulation, and the executor
-/// addresses output slots by cell index ([`sweep_cells`]), so the returned
-/// vector is bit-for-bit identical to the serial [`run_matrix`] — same
-/// order, same values — regardless of `jobs`.
-pub fn run_matrix_parallel(
-    workloads: &[Workload],
-    engines: &[FetchEngineKind],
-    policies: &[FetchPolicy],
-    len: RunLength,
     jobs: Jobs,
 ) -> Vec<RunResult> {
-    run_matrix_sweep(workloads, engines, policies, len, jobs).results
-}
-
-/// [`run_matrix_parallel`], additionally returning per-cell observability
-/// stats (label, simulated cycles, wall-time, worker id) for progress and
-/// straggler reports.
-pub fn run_matrix_sweep(
-    workloads: &[Workload],
-    engines: &[FetchEngineKind],
-    policies: &[FetchPolicy],
-    len: RunLength,
-    jobs: Jobs,
-) -> Sweep<RunResult> {
-    // Stable cell order: workload × policy × engine (see `run_matrix`).
     let cells: Vec<(&Workload, FetchEngineKind, FetchPolicy)> = workloads
         .iter()
         .flat_map(|w| {
@@ -296,25 +270,10 @@ pub fn run_matrix_sweep(
                 .flat_map(move |&p| engines.iter().map(move |&e| (w, e, p)))
         })
         .collect();
-    let mut sweep = sweep_cells(
-        cells.len(),
-        jobs,
-        len.measure_cycles,
-        |i| {
-            let (w, e, p) = &cells[i];
-            format!("{} {} {}", w.name(), e, p)
-        },
-        |i| {
-            let (w, e, p) = cells[i];
-            run(w, e, p, len)
-        },
-    );
-    // The executor has no view into the result type; fill in the per-cell
-    // skip counts (for the skip-rate column of the progress report) here.
-    for (stat, result) in sweep.stats.iter_mut().zip(&sweep.results) {
-        stat.skipped = result.skipped_cycles;
-    }
-    sweep
+    sweep_indexed(cells.len(), jobs, |i| {
+        let (w, e, p) = cells[i];
+        run(w, e, p, len)
+    })
 }
 
 #[cfg(test)]
@@ -373,6 +332,7 @@ mod tests {
             &[FetchEngineKind::GshareBtb, FetchEngineKind::Stream],
             &[FetchPolicy::icount(1, 8)],
             RunLength::SMOKE,
+            Jobs::SERIAL,
         );
         assert_eq!(rs.len(), 2);
         assert_ne!(rs[0].engine, rs[1].engine);
@@ -386,6 +346,7 @@ mod tests {
             &[FetchEngineKind::GshareBtb, FetchEngineKind::Stream],
             &[FetchPolicy::icount(1, 8), FetchPolicy::icount(1, 16)],
             RunLength::SMOKE,
+            Jobs::SERIAL,
         );
         let order: Vec<(String, String)> = rs
             .iter()
@@ -407,9 +368,15 @@ mod tests {
         let workloads = [Workload::mix2()];
         let engines = [FetchEngineKind::GshareBtb, FetchEngineKind::Stream];
         let policies = [FetchPolicy::icount(1, 8)];
-        let serial = run_matrix(&workloads, &engines, &policies, RunLength::SMOKE);
+        let serial = run_matrix(
+            &workloads,
+            &engines,
+            &policies,
+            RunLength::SMOKE,
+            Jobs::SERIAL,
+        );
         for jobs in [2usize, 4] {
-            let parallel = run_matrix_parallel(
+            let parallel = run_matrix(
                 &workloads,
                 &engines,
                 &policies,
@@ -418,21 +385,6 @@ mod tests {
             );
             assert_eq!(parallel, serial, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn matrix_sweep_reports_per_cell_stats() {
-        let sweep = run_matrix_sweep(
-            &[Workload::mix2()],
-            &[FetchEngineKind::GshareBtb],
-            &[FetchPolicy::icount(1, 8)],
-            RunLength::SMOKE,
-            Jobs::SERIAL,
-        );
-        assert_eq!(sweep.stats.len(), 1);
-        assert_eq!(sweep.stats[0].label, "2_MIX gshare+BTB ICOUNT.1.8");
-        assert_eq!(sweep.stats[0].sim_cycles, RunLength::SMOKE.measure_cycles);
-        assert_eq!(sweep.stats[0].worker, 0);
     }
 
     #[test]

@@ -209,25 +209,6 @@ pub struct Sweep<T> {
     pub stats: Vec<CellStat>,
 }
 
-impl<T> Sweep<T> {
-    /// The `k` slowest cells, slowest first — the stragglers that bound the
-    /// sweep's wall-clock time.
-    pub fn stragglers(&self, k: usize) -> Vec<&CellStat> {
-        let mut by_wall: Vec<&CellStat> = self.stats.iter().collect();
-        by_wall.sort_by(|a, b| b.wall.cmp(&a.wall).then(a.index.cmp(&b.index)));
-        by_wall.truncate(k);
-        by_wall
-    }
-
-    /// How many distinct workers computed at least one cell.
-    pub fn workers_used(&self) -> usize {
-        let mut workers: Vec<usize> = self.stats.iter().map(|s| s.worker).collect();
-        workers.sort_unstable();
-        workers.dedup();
-        workers.len()
-    }
-}
-
 /// Runs `n` independent cells on a pool of `jobs` workers and returns the
 /// results in cell-index order, with per-cell stats.
 ///
@@ -425,10 +406,6 @@ mod tests {
             assert_eq!(s.sim_cycles, 123);
             assert!(s.worker < 4);
         }
-        assert!(sweep.workers_used() >= 1);
-        let stragglers = sweep.stragglers(3);
-        assert_eq!(stragglers.len(), 3);
-        assert!(stragglers[0].wall >= stragglers[1].wall);
     }
 
     #[test]

@@ -106,8 +106,8 @@ pub const SIM_CRATES: [&str; 5] = ["isa", "workloads", "bpred", "mem", "core"];
 /// Crates subject to the `no-wall-clock` rule: the simulation crates plus
 /// the experiment harness, whose results must also be pure functions of
 /// the seed. (The sweep executor's per-cell harness timer is the audited
-/// `lint:allow(no-wall-clock)` exception; timing otherwise lives only in
-/// `smt-bench`.)
+/// `lint:allow(no-wall-clock)` exception; all other timing lives in the
+/// separate `perfbench/` benchmark, outside the workspace.)
 pub const CLOCK_CRATES: [&str; 6] = ["isa", "workloads", "bpred", "mem", "core", "experiments"];
 
 /// The cycle-loop composition root, subject to the `no-alloc-in-step` rule

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use smtfetch::core::{FetchEngineKind, FetchPolicy};
-use smtfetch::experiments::{run_matrix, run_matrix_parallel, Jobs, RunLength, RunResult};
+use smtfetch::experiments::{run_matrix, Jobs, RunLength, RunResult};
 use smtfetch::workloads::Workload;
 
 /// Every family runs at the same fixed length; golden files embed results
@@ -104,7 +104,7 @@ fn check(family: &str, results: &[RunResult]) {
 #[test]
 fn golden_figure2_family() {
     // Figure 2's axis: the baseline engine on the 2-thread mix at 1.8/1.16.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::mix2()],
         &[FetchEngineKind::GshareBtb],
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(1, 16)],
@@ -117,7 +117,7 @@ fn golden_figure2_family() {
 #[test]
 fn golden_ilp_family() {
     // Figure 5's axis: every fetch engine on the ILP-bound 2-thread mix.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::ilp2()],
         &FetchEngineKind::all(),
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
@@ -130,7 +130,7 @@ fn golden_ilp_family() {
 #[test]
 fn golden_mem_family() {
     // Figure 7's axis: every fetch engine on the memory-bound 2-thread mix.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::mem2()],
         &FetchEngineKind::all(),
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
@@ -144,7 +144,7 @@ fn golden_mem_family() {
 fn golden_policies_family() {
     // The fetch-policy comparison: one engine, the priority-scheme sweep
     // plus the long-latency STALL/FLUSH variants.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::mix2()],
         &[FetchEngineKind::GskewFtb],
         &[
@@ -170,6 +170,7 @@ fn golden_matrix_order() {
         &FetchEngineKind::all(),
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 16)],
         LEN,
+        Jobs::SERIAL,
     );
     // Structural spot-check independent of the snapshot: workload outermost,
     // engine innermost, policy in between.
@@ -298,7 +299,7 @@ fn fast_forward_matches_stepping_under_long_latency_policies() {
     }
 }
 
-/// Satellite equivalence contract: the parallel executor returns results
+/// Equivalence contract: the parallel executor returns results
 /// byte-identical to the serial path for any worker count. `RunResult`
 /// equality is bit-exact (`f64 ==`), so this is the strongest possible
 /// check short of hashing.
@@ -307,9 +308,9 @@ fn parallel_matches_serial_for_every_worker_count() {
     let workloads = [Workload::mix2(), Workload::ilp2()];
     let engines = FetchEngineKind::all();
     let policies = [FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)];
-    let serial = run_matrix(&workloads, &engines, &policies, LEN);
-    for jobs in [1usize, 2, 8] {
-        let parallel = run_matrix_parallel(
+    let serial = run_matrix(&workloads, &engines, &policies, LEN, Jobs::SERIAL);
+    for jobs in [2usize, 4, 8] {
+        let parallel = run_matrix(
             &workloads,
             &engines,
             &policies,
@@ -318,7 +319,7 @@ fn parallel_matches_serial_for_every_worker_count() {
         );
         assert_eq!(
             serial, parallel,
-            "run_matrix_parallel(jobs={jobs}) diverged from serial run_matrix"
+            "run_matrix(jobs={jobs}) diverged from run_matrix(jobs=1)"
         );
     }
 }

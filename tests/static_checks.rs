@@ -681,7 +681,6 @@ fn env_knobs_are_pinned() {
         }
     }
     let expected = [
-        "SMT_BENCH_OUT",
         "SMT_DEBUG_HIST",
         "SMT_EXP_CYCLES",
         "SMT_JOBS",
